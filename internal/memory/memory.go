@@ -67,6 +67,21 @@ func (m *GuestMemory) PopulatedPages() int {
 	return len(m.pages)
 }
 
+// NonZeroPages reports how many populated pages hold non-zero
+// content — the page images a delta baseline against this memory
+// actually carries.
+func (m *GuestMemory) NonZeroPages() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for _, p := range m.pages {
+		if !AllZero(p[:]) {
+			n++
+		}
+	}
+	return n
+}
+
 // PopulatedList returns the numbers of every populated page in
 // ascending order — the page set a full-copy seeding must ship.
 func (m *GuestMemory) PopulatedList() []PageNum {
@@ -154,7 +169,7 @@ func (m *GuestMemory) WritePage(n PageNum, src []byte) error {
 	if len(src) < PageSize {
 		return fmt.Errorf("write page %d: src too small (%d bytes)", n, len(src))
 	}
-	if allZero(src[:PageSize]) {
+	if AllZero(src[:PageSize]) {
 		m.mu.Lock()
 		delete(m.pages, n)
 		m.mu.Unlock()
@@ -169,6 +184,103 @@ func (m *GuestMemory) WritePage(n PageNum, src []byte) error {
 	copy(p[:], src[:PageSize])
 	m.mu.Unlock()
 	return nil
+}
+
+// PageReader reads guest pages in place under a read lock held by
+// ReadPages.
+type PageReader struct{ m *GuestMemory }
+
+// Page returns page n's backing bytes, or nil when the page is
+// unpopulated (it reads as zeroes). The slice aliases guest memory:
+// callers must not modify it or keep it past the ReadPages callback.
+// The zero PageReader reads every page as unpopulated.
+func (r PageReader) Page(n PageNum) []byte {
+	if r.m == nil {
+		return nil
+	}
+	if p := r.m.pages[n]; p != nil {
+		return p[:]
+	}
+	return nil
+}
+
+// ReadPages runs fn with in-place read access to m's pages, taking
+// the read lock once for the whole batch as CopyPagesTo does rather
+// than once per page. fn must not call m's other methods.
+func (m *GuestMemory) ReadPages(fn func(PageReader)) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	fn(PageReader{m})
+}
+
+// PageWriter updates guest pages in place under the write lock held
+// by WritePages. Like WritePage, it never keeps an all-zero page
+// populated. The backing arrays of pages it drops are recycled for
+// pages it populates later in the same batch, so a checkpoint that
+// zeroes some pages and fills others allocates no page storage.
+type PageWriter struct {
+	m    *GuestMemory
+	free *[]*[PageSize]byte
+}
+
+// Clear zeroes page n, dropping its backing store (kept for reuse).
+func (w PageWriter) Clear(n PageNum) {
+	if p := w.m.pages[n]; p != nil {
+		delete(w.m.pages, n)
+		*w.free = append(*w.free, p)
+	}
+}
+
+// page returns page n's storage, populating it from the recycled
+// arrays (or fresh memory) if needed; fresh reports a newly populated
+// page, whose content is stale and must be overwritten or cleared.
+func (w PageWriter) page(n PageNum) (p *[PageSize]byte, fresh bool) {
+	if p = w.m.pages[n]; p != nil {
+		return p, false
+	}
+	if k := len(*w.free); k > 0 {
+		p = (*w.free)[k-1]
+		*w.free = (*w.free)[:k-1]
+	} else {
+		p = new([PageSize]byte)
+	}
+	w.m.pages[n] = p
+	return p, true
+}
+
+// Store replaces page n's content with the first PageSize bytes of
+// src, exactly as WritePage does. n must be in range.
+func (w PageWriter) Store(n PageNum, src []byte) {
+	if AllZero(src[:PageSize]) {
+		w.Clear(n)
+		return
+	}
+	p, _ := w.page(n)
+	copy(p[:], src[:PageSize])
+}
+
+// Update lets edit change page n in place (an unpopulated page is
+// presented as zeroes) and drops the page if it ends up all zero. n
+// must be in range.
+func (w PageWriter) Update(n PageNum, edit func(page []byte)) {
+	p, fresh := w.page(n)
+	if fresh {
+		clear(p[:])
+	}
+	edit(p[:])
+	if AllZero(p[:]) {
+		w.Clear(n)
+	}
+}
+
+// WritePages runs fn with in-place write access to m's pages, taking
+// the write lock once for the whole batch. fn must not call m's other
+// methods.
+func (m *GuestMemory) WritePages(fn func(PageWriter)) {
+	var free []*[PageSize]byte
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fn(PageWriter{m: m, free: &free})
 }
 
 // Write copies data into guest memory starting at addr, spanning pages
@@ -272,7 +384,7 @@ func (m *GuestMemory) Hash() uint64 {
 	defer m.mu.RUnlock()
 	nums := make([]PageNum, 0, len(m.pages))
 	for n, p := range m.pages {
-		if !allZero(p[:]) {
+		if !AllZero(p[:]) {
 			nums = append(nums, n)
 		}
 	}
@@ -289,7 +401,17 @@ func (m *GuestMemory) Hash() uint64 {
 	return h.Sum64()
 }
 
-func allZero(b []byte) bool {
+// AllZero reports whether b holds only zero bytes. It tests eight
+// bytes at a time: zero detection runs on every page write and every
+// page the checkpoint codec frames.
+func AllZero(b []byte) bool {
+	for len(b) >= 32 {
+		if binary.LittleEndian.Uint64(b)|binary.LittleEndian.Uint64(b[8:])|
+			binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:]) != 0 {
+			return false
+		}
+		b = b[32:]
+	}
 	for _, v := range b {
 		if v != 0 {
 			return false

@@ -101,10 +101,9 @@ type Config struct {
 	// Workload keeps executing inside the guest during live
 	// iterations (nil = idle guest).
 	Workload workload.Workload
-	// Codec encodes each batch into the checkpoint wire format. When
-	// the migration seeds continuous replication, passing the
-	// replicator's encoder primes its delta-baseline cache with the
-	// seeded page images. Nil uses a private raw-mode encoder.
+	// Codec encodes each batch into the checkpoint wire format, with
+	// the destination memory as its delta baseline. Nil uses a private
+	// raw-mode encoder.
 	Codec *wire.Encoder
 	// Tracer records one "seed-round" span per pre-copy iteration
 	// (Epoch is the iteration number) plus one for the final
@@ -283,7 +282,7 @@ func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.Pa
 	clock.Sleep(scan + cpu)
 
 	if n > 0 {
-		cp, err := enc.Encode(vm.Memory(), pages, nil, nil, uint64(res.Iterations), threads)
+		cp, err := enc.Encode(vm.Memory(), dst, pages, nil, nil, uint64(res.Iterations), threads)
 		if err != nil {
 			return 0, fmt.Errorf("migration: %w", err)
 		}
@@ -291,19 +290,14 @@ func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.Pa
 			// Real transport: the stream itself crosses the wire, and the
 			// return is the peer replica's acknowledgement of the round.
 			if err := sender.SendSeed(uint64(res.Iterations), cp.Stream); err != nil {
-				enc.Rollback()
 				return 0, fmt.Errorf("migration: %w", err)
 			}
 		} else if _, err := link.Transfer(cp.WireSize, threads); err != nil {
-			enc.Rollback()
 			return 0, fmt.Errorf("migration: %w", err)
 		}
 		if _, err := wire.Decode(cp.Stream, dst); err != nil {
 			return 0, fmt.Errorf("migration: apply: %w", err)
 		}
-		// Each batch lands on the destination as soon as it decodes, so
-		// its page images are baseline immediately.
-		enc.Commit()
 		res.PagesSent += int64(n)
 		res.BytesSent += cp.WireSize
 		res.Wire.Add(cp.Stats)

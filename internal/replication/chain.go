@@ -1,7 +1,7 @@
 // N-way replication chains: one primary fanning checkpoints out to N
-// secondaries (legs). Each leg keeps its own wire codec (delta
-// baselines match what *that* replica acknowledged), its own replica
-// memory and translated state image, and its own pending-page set so a
+// secondaries (legs). Each leg keeps its own wire codec, its own
+// replica memory — the delta baseline, matching what *that* replica
+// acknowledged — and translated state image, and its own pending-page set so a
 // leg that misses an epoch catches up with an ordinary delta on the
 // next one. An epoch commits — the guest's buffered output releases —
 // when a configurable quorum of legs acknowledges (default: all).
@@ -39,11 +39,12 @@ type leg struct {
 	// sender is non-nil when tp carries the encoded streams itself —
 	// only permitted on single-leg chains.
 	sender CheckpointSender
-	// enc is this leg's wire codec; its delta baseline tracks what THIS
-	// replica acknowledged, which may trail other legs after a miss.
+	// enc is this leg's wire codec.
 	enc *wire.Encoder
 	// mem and lastImage are the replica-side memory and the dst-native
 	// machine-state image of the leg's last acknowledged checkpoint.
+	// mem is also enc's delta baseline: it tracks what THIS replica
+	// acknowledged, which may trail other legs after a miss.
 	mem       *memory.GuestMemory
 	lastImage []byte
 	// pending is the dirty-page backlog this leg has not acknowledged

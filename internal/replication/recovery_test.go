@@ -202,12 +202,13 @@ func TestRollbackKeepsReplicaOnAckedEpoch(t *testing.T) {
 }
 
 // TestRollbackKeepsEncoderBaseline pins the wire codec's baseline
-// lifecycle to the acknowledgement protocol: a rolled-back checkpoint
-// must not advance the delta baseline, whether the payload or only the
-// ack was lost. If it did, the next checkpoint's XOR deltas would diff
-// against content the replica never acknowledged, and applying them on
-// the replica's older image would corrupt it — caught here by the
-// hash comparison after recovery.
+// lifecycle to the acknowledgement protocol: the leg's replica mirror,
+// which Encode diffs against, must not advance on a rolled-back
+// checkpoint, whether the payload or only the ack was lost. If it did,
+// the next checkpoint's XOR deltas would diff against content the
+// replica never acknowledged, and applying them on the replica's older
+// image would corrupt it — caught here by the hash comparison after
+// recovery.
 func TestRollbackKeepsEncoderBaseline(t *testing.T) {
 	cases := map[string]func() simnet.Injector{
 		"payload-fails": func() simnet.Injector { return &flakyInjector{fails: 100} },
@@ -227,6 +228,11 @@ func TestRollbackKeepsEncoderBaseline(t *testing.T) {
 			if _, err := rep.RunCycle(); err != nil {
 				t.Fatal(err)
 			}
+			_, base, err := rep.ReplicaImage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := base.Hash()
 
 			// Mutate the page and lose the checkpoint.
 			if err := r.vm.WriteGuest(0, 42*memory.PageSize, []byte("epoch-2")); err != nil {
@@ -236,10 +242,13 @@ func TestRollbackKeepsEncoderBaseline(t *testing.T) {
 			if _, err := rep.RunCycle(); err == nil {
 				t.Fatal("cycle succeeded under persistent loss")
 			}
+			if base.Hash() != acked {
+				t.Fatal("delta baseline advanced on a rolled-back checkpoint")
+			}
 
 			// Mutate again and recover: the delta must encode against
 			// epoch-1 (what the replica holds), not the abandoned
-			// epoch-2 staging.
+			// epoch-2 stream.
 			if err := r.vm.WriteGuest(0, 42*memory.PageSize, []byte("epoch-3")); err != nil {
 				t.Fatal(err)
 			}

@@ -403,8 +403,8 @@ type Config struct {
 	// starts seeded with the given replica memory, last acked state
 	// image and checkpoint sequence, in degraded mode, so the first
 	// healthy cycle ships a delta resync of the pages dirtied since —
-	// no full re-seed. The encoder's delta baseline is primed from the
-	// resumed memory. Nil starts unseeded as usual (Seed required).
+	// no full re-seed. The resumed memory is the encoder's delta
+	// baseline. Nil starts unseeded as usual (Seed required).
 	// Resume re-attaches exactly one leg; widen with AddLeg after.
 	Resume *ResumeState
 }
@@ -592,9 +592,6 @@ func newReplicator(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Rep
 		if cfg.Resume.Mem.SizeBytes() != vm.Memory().SizeBytes() {
 			return nil, fmt.Errorf("replication: resume memory is %d bytes, vm has %d",
 				cfg.Resume.Mem.SizeBytes(), vm.Memory().SizeBytes())
-		}
-		if err := legs[0].enc.Prime(cfg.Resume.Mem); err != nil {
-			return nil, fmt.Errorf("replication: %w", err)
 		}
 	}
 	r := &Replicator{
@@ -798,8 +795,8 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	mcfg := r.cfg.Seeding
 	mcfg.Transport = first.tp
 	mcfg.Mode = mode
-	// Seed through the leg's own codec so the baseline cache is
-	// primed: the first checkpoint's deltas diff against seeded content.
+	// Seed through the leg's own codec into its replica memory, the
+	// delta baseline the first checkpoint diffs against.
 	mcfg.Codec = first.enc
 	if mcfg.Tracer == nil {
 		mcfg.Tracer = r.tr
@@ -840,7 +837,7 @@ func (r *Replicator) Seed() (migration.Result, error) {
 
 // seedLeg ships a full snapshot of the paused primary onto one leg:
 // account the transfer, copy every populated page into the leg's
-// replica memory, prime its codec baseline, and store the translated
+// replica memory (its codec's delta baseline), and store the translated
 // machine-state image. The primary must be paused.
 func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 	image, err := r.translateState(state, l.dst)
@@ -854,9 +851,6 @@ func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
 	}
 	if err := mem.CopyPagesTo(pages, l.mem); err != nil {
-		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
-	}
-	if err := l.enc.Prime(l.mem); err != nil {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
 	}
 	r.mu.Lock()
@@ -1175,12 +1169,12 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 		switch acked, ok := sender.PeerAcked(); {
 		case ok && acked+1 == seq:
 			// In sync: the peer holds the same last-acked epoch the
-			// encoder's baseline describes — plain delta resync.
+			// leg's replica memory describes — plain delta resync.
 		case ok && acked == seq:
 			// The peer applied the checkpoint whose acknowledgement was
-			// lost: it is one epoch ahead of the baseline, so XOR deltas
-			// would corrupt it. Ship overwrite frames instead and rebuild
-			// the baseline afterwards.
+			// lost: it is one epoch ahead of the leg's replica memory, so
+			// XOR deltas would corrupt it. Ship overwrite frames instead;
+			// applying them brings both back in step.
 			overwrite = true
 		default:
 			// The peer restarted empty or regressed — nothing a delta can
@@ -1298,7 +1292,8 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 			legDisk = diskWrites
 		}
 
-		// Encode the checkpoint stream against this leg's own baseline:
+		// Encode the checkpoint stream against this leg's own replica
+		// memory, the last epoch it acknowledged:
 		// dirtied memory + (on leg 0) journaled disk writes + state
 		// record, framed and checksummed. The codec measures what the
 		// link actually carries — there is no assumed ratio.
@@ -1310,7 +1305,7 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 		if overwrite {
 			cp, err = l.enc.EncodeOverwrite(r.primary.Memory(), legDirty, image, legDisk, seq)
 		} else {
-			cp, err = l.enc.Encode(r.primary.Memory(), legDirty, image, legDisk, seq, r.threads)
+			cp, err = l.enc.Encode(r.primary.Memory(), l.mem, legDirty, image, legDisk, seq, r.threads)
 		}
 		if err != nil {
 			return CheckpointStats{}, fmt.Errorf("replication: encode: %w", err)
@@ -1348,10 +1343,10 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 
 		// Ship the encoded stream, then wait for the ack. Transient
 		// failures are retried with backoff; a leg whose transfer outlives
-		// the retry budget misses this epoch — its staged baseline rolls
-		// back so its next deltas still diff against the last epoch it
-		// acknowledged — and the quorum check below decides whether the
-		// epoch commits anyway.
+		// the retry budget misses this epoch — its replica memory is only
+		// decoded into after an ack, so its next deltas still diff against
+		// the last epoch it acknowledged — and the quorum check below
+		// decides whether the epoch commits anyway.
 		transferStart := clock.Now()
 		if l.sender != nil {
 			// The real transport carries the stream itself and its return is
@@ -1372,7 +1367,6 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 					Kind: trace.SpanTransfer, Epoch: epochID, Start: transferStart,
 					Dur: time.Since(wallStart), Engine: engine, Bytes: bytes, Outcome: "failed",
 				})
-				l.enc.Rollback()
 				if isPermanentErr(err) {
 					// Fenced or protocol-incompatible: reconnects cannot cure
 					// it and degraded mode would never resync. Re-arm the
@@ -1401,7 +1395,6 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 			if err := r.shipVia(l.tp, epochID, bytes, streams); err != nil {
 				r.tr.Span(trace.SpanTransfer, epochID, transferStart,
 					trace.Event{Engine: engine, Shard: i, Bytes: bytes, Outcome: "failed"})
-				l.enc.Rollback()
 				if isPermanentErr(err) && len(legs) > 1 {
 					r.markLegDead(l, i, epochID, err)
 					continue
@@ -1420,7 +1413,6 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 				// acknowledgement the primary must treat it as never applied.
 				r.tr.Span(trace.SpanAck, epochID, ackStart,
 					trace.Event{Engine: engine, Shard: i, Bytes: ackBytes, Outcome: "failed"})
-				l.enc.Rollback()
 				if isPermanentErr(err) && len(legs) > 1 {
 					r.markLegDead(l, i, epochID, err)
 					continue
@@ -1442,16 +1434,6 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 		dec, err := wire.Decode(cp.Stream, l.mem)
 		if err != nil {
 			return CheckpointStats{}, fmt.Errorf("replication: apply: %w", err)
-		}
-		if overwrite {
-			// Overwrite streams carry no deltas and never staged a baseline;
-			// rebuild the codec's delta cache from the now-reconciled replica
-			// content so the next checkpoint diffs against it.
-			if err := l.enc.Prime(l.mem); err != nil {
-				return CheckpointStats{}, fmt.Errorf("replication: reprime: %w", err)
-			}
-		} else {
-			l.enc.Commit()
 		}
 		r.mu.Lock()
 		l.lastImage = image
@@ -1600,12 +1582,16 @@ func (r *Replicator) Totals() Totals {
 	t := r.totals
 	// Modeled resident set: per-thread staging (a 2 MiB transfer
 	// region plus socket and compression buffers), the dirty bitmap,
-	// each leg's staged state image and wire-codec delta-baseline
-	// cache, and the toolstack baseline (libxc/libxl/kvmtool working
-	// memory).
+	// each leg's staged state image and the page images a
+	// content-aware codec diffs against (the non-zero pages of the
+	// leg's replica memory), and the toolstack baseline
+	// (libxc/libxl/kvmtool working memory).
 	var legBytes int64
 	for _, l := range r.legs {
-		legBytes += int64(len(l.lastImage)) + l.enc.BaselineBytes()
+		legBytes += int64(len(l.lastImage))
+		if l.enc.ContentAware() {
+			legBytes += int64(l.mem.NonZeroPages()) * memory.PageSize
+		}
 	}
 	t.RSSBytes = int64(r.threads)*48<<20 +
 		int64(r.primary.Memory().NumPages()/8) +

@@ -76,12 +76,11 @@ func (c *ClientConfig) withDefaults() {
 }
 
 // ackFrame is one decoded acknowledgement: the acked epoch plus the
-// secondary-side stage timings (when the peer reported them).
+// secondary-side stage timings.
 type ackFrame struct {
 	seq    uint64
 	spanID uint64
 	st     ackStages
-	has    bool
 }
 
 // session is one live connection: its socket, the channel acks arrive
@@ -143,7 +142,6 @@ type Client struct {
 	ackedOK     bool
 	rtt         time.Duration
 	lastStages  ackStages // remote stage timings from the last ack
-	lastStageOK bool
 	connects    int64
 	disconnects int64
 	checkpoints int64
@@ -244,7 +242,7 @@ func (c *Client) connect() error {
 		conn.Close()
 		return fmt.Errorf("transport: sending hello: %w", err)
 	}
-	typ, payload, err := readMsg(conn)
+	typ, payload, _, err := (&msgReader{r: conn}).next()
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: reading handshake reply: %w", err)
@@ -308,8 +306,9 @@ func (c *Client) connect() error {
 // readLoop dispatches inbound messages for one session until it dies.
 func (c *Client) readLoop(sess *session) {
 	defer c.wg.Done()
+	in := msgReader{r: sess.conn}
 	for {
-		typ, payload, err := readMsg(sess.conn)
+		typ, payload, _, err := in.next()
 		if err != nil {
 			c.sessionDied(sess, "read: "+err.Error())
 			return
@@ -327,13 +326,13 @@ func (c *Client) readLoop(sess *session) {
 			}
 			sess.mu.Unlock()
 		case msgAck:
-			seq, spanID, st, has, err := decodeAck(payload)
+			seq, spanID, st, err := decodeAck(payload)
 			if err != nil {
 				c.sessionDied(sess, "bad ack: "+err.Error())
 				return
 			}
 			select {
-			case sess.acks <- ackFrame{seq: seq, spanID: spanID, st: st, has: has}:
+			case sess.acks <- ackFrame{seq: seq, spanID: spanID, st: st}:
 			default:
 				// No sender waiting (timed out); drop.
 			}
@@ -525,7 +524,7 @@ func (c *Client) send(typ byte, seq uint64, stream []byte) error {
 
 	ctx := streamCtx{Seq: seq, Gen: c.cfg.Generation, SpanID: c.traceID ^ seq}
 	sess.writeMu.Lock()
-	err := writeMsg(sess.conn, typ, encodeStream(ctx, stream))
+	err := writeMsg(sess.conn, typ, encodeStreamCtx(ctx), stream)
 	sess.writeMu.Unlock()
 	if err != nil {
 		c.sessionDied(sess, "write: "+err.Error())
@@ -556,7 +555,6 @@ func (c *Client) send(typ byte, seq uint64, stream []byte) error {
 	c.mu.Lock()
 	c.sentBytes += int64(len(stream))
 	c.lastStages = frame.st
-	c.lastStageOK = frame.has
 	if typ == msgCheckpoint {
 		c.serverAcked = seq
 		c.ackedOK = true
@@ -586,15 +584,14 @@ func (c *Client) SendSeed(round uint64, stream []byte) error {
 
 // LastRemoteStages reports the secondary-side stage timings (wire
 // read, decode, apply, ack) carried back in the most recent stream
-// acknowledgement. ok is false when no ack has arrived yet or the peer
-// did not report stages. The replicator reads this right after a
-// successful SendCheckpoint to merge the remote stages into the
-// epoch's cross-node breakdown.
+// acknowledgement. ok is false when no ack has arrived yet. The
+// replicator reads this right after a successful SendCheckpoint to
+// merge the remote stages into the epoch's cross-node breakdown.
 func (c *Client) LastRemoteStages() (recv, decode, apply, ack time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.lastStages
-	return st.Recv, st.Decode, st.Apply, st.Ack, c.lastStageOK
+	return st.Recv, st.Decode, st.Apply, st.Ack, c.checkpoints+c.seedRounds > 0
 }
 
 // PeerAcked reports the last checkpoint epoch the peer acknowledged,

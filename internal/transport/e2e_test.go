@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,6 +313,22 @@ func TestE2ECrossNodeBreakdown(t *testing.T) {
 	for _, ev := range r.str.Events() {
 		if ev.Kind == trace.SpanRemoteApply && ev.Note != "protected" {
 			t.Fatalf("remote span not attributed to the protection: %+v", ev)
+		}
+	}
+
+	// Both codec wall-time histograms are live: the primary's encodes
+	// and the secondary's decodes, one observation per stream.
+	var prom bytes.Buffer
+	if err := r.reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"here_wire_encode_seconds", "here_wire_decode_seconds"} {
+		h := r.reg.Histogram(name, "", trace.DurationBuckets())
+		if h.Count() == 0 || h.Sum() <= 0 {
+			t.Fatalf("%s observed nothing after a two-node run", name)
+		}
+		if !strings.Contains(prom.String(), name+"_count ") {
+			t.Fatalf("%s missing from the exposition", name)
 		}
 	}
 }

@@ -75,6 +75,7 @@ type Server struct {
 	mSeedRounds  *trace.Counter
 	mAcks        *trace.Counter
 	mApplySec    *trace.Histogram
+	mDecodeSec   *trace.Histogram
 }
 
 // NewServer returns a server ready to Listen.
@@ -103,6 +104,9 @@ func NewServer(cfg ServerConfig) *Server {
 			"epoch acknowledgements exchanged")
 		s.mApplySec = reg.Histogram("here_transport_apply_seconds",
 			"secondary-side decode+apply time per received stream",
+			trace.DurationBuckets())
+		s.mDecodeSec = reg.Histogram("here_wire_decode_seconds",
+			"wall time to validate and apply one checkpoint stream into replica memory",
 			trace.DurationBuckets())
 	}
 	return s
@@ -247,7 +251,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
 
-	typ, payload, err := readMsg(conn)
+	typ, payload, _, err := (&msgReader{r: conn}).next()
 	if err != nil {
 		s.cfg.Logf("transport: %s: reading hello: %v", remote, err)
 		return
@@ -387,9 +391,12 @@ func (s *Server) dropConn(r *replica, conn net.Conn, reason string) {
 }
 
 // serveConn runs the post-handshake message loop.
+// Streams are read into one buffer reused across messages: wire.Decode
+// copies whatever the replica keeps (state record, disk writes).
 func (s *Server) serveConn(r *replica, conn net.Conn, protection string) {
+	in := msgReader{r: conn}
 	for {
-		typ, payload, recvDur, err := readMsgTimed(conn)
+		typ, payload, recvDur, err := in.next()
 		if err != nil {
 			reason := err.Error()
 			if errors.Is(err, io.EOF) {
@@ -503,6 +510,7 @@ func (s *Server) apply(r *replica, typ byte, protection string, seq uint64, stre
 	applyDur = time.Since(applyStart)
 	if s.mApplySec != nil {
 		s.mApplySec.Observe((decodeDur + applyDur).Seconds())
+		s.mDecodeSec.Observe(decodeDur.Seconds())
 	}
 	return decodeDur, applyDur, nil
 }

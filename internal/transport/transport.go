@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"github.com/here-ft/here/internal/wire"
@@ -191,58 +192,61 @@ type PeerStatus struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// writeMsg writes one length-prefixed message.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
+// writeMsg writes one length-prefixed message whose payload is the
+// concatenation of parts. Header and parts leave in one gathered write
+// (writev on a TCP connection), so a checkpoint stream is never copied
+// into a message buffer.
+func writeMsg(w io.Writer, typ byte, parts ...[]byte) error {
 	hdr := make([]byte, msgOverhead)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(n))
+	bufs := append(net.Buffers{hdr}, parts...)
+	_, err := bufs.WriteTo(w)
+	return err
 }
 
-// readMsg reads one length-prefixed message.
-func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [msgOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxMessage {
-		return 0, nil, fmt.Errorf("transport: %d-byte message exceeds limit", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
+// maxRetainedRecv bounds the receive buffer a msgReader keeps between
+// messages: checkpoint-sized streams reuse it, while a rare huge one
+// (a full seeding pass) is read into a buffer of its own and dropped.
+const maxRetainedRecv = 4 << 20
+
+// msgReader reads length-prefixed messages into one reused buffer. A
+// payload is valid only until the next call to next.
+type msgReader struct {
+	r   io.Reader
+	hdr [msgOverhead]byte
+	buf []byte
 }
 
-// readMsgTimed reads one length-prefixed message and reports how long
-// the payload spent being read off the wire. The clock starts after
-// the header arrives, so idle time waiting for the next message is not
-// charged to the receive stage.
-func readMsgTimed(r io.Reader) (typ byte, payload []byte, recv time.Duration, err error) {
-	var hdr [msgOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// next reads one message and reports how long its payload spent being
+// read off the wire. The clock starts after the header arrives, so
+// idle time waiting for the next message is not charged to the
+// receive stage.
+func (m *msgReader) next() (typ byte, payload []byte, recv time.Duration, err error) {
+	if _, err := io.ReadFull(m.r, m.hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
 	start := time.Now()
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := binary.LittleEndian.Uint32(m.hdr[1:])
 	if n > maxMessage {
 		return 0, nil, 0, fmt.Errorf("transport: %d-byte message exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if int(n) <= cap(m.buf) {
+		payload = m.buf[:n]
+	} else {
+		payload = make([]byte, n)
+		if n <= maxRetainedRecv {
+			m.buf = payload
+		}
+	}
+	if _, err := io.ReadFull(m.r, payload); err != nil {
 		return 0, nil, 0, err
 	}
-	return hdr[0], payload, time.Since(start), nil
+	return m.hdr[0], payload, time.Since(start), nil
 }
 
 // encodeHello serializes a hello payload.
@@ -340,14 +344,13 @@ type streamCtx struct {
 	SpanID uint64 // sender-side transfer span ID, echoed in the ack
 }
 
-// encodeStream serializes a checkpoint/seed payload: the trace context
-// followed by the framed wire stream.
-func encodeStream(ctx streamCtx, stream []byte) []byte {
-	b := make([]byte, 0, 24+len(stream))
+// encodeStreamCtx serializes the trace context that precedes the
+// framed wire stream in a checkpoint/seed payload.
+func encodeStreamCtx(ctx streamCtx) []byte {
+	b := make([]byte, 0, 24)
 	b = binary.LittleEndian.AppendUint64(b, ctx.Seq)
 	b = binary.LittleEndian.AppendUint64(b, ctx.Gen)
-	b = binary.LittleEndian.AppendUint64(b, ctx.SpanID)
-	return append(b, stream...)
+	return binary.LittleEndian.AppendUint64(b, ctx.SpanID)
 }
 
 // decodeStream splits a checkpoint/seed payload.
@@ -386,26 +389,21 @@ func encodeAck(seq, spanID uint64, st ackStages) []byte {
 	return b
 }
 
-// decodeAck parses an ack payload. A bare 8-byte epoch (a v1-style
-// minimal ack) is accepted with ok=false and zero stages.
-func decodeAck(b []byte) (seq, spanID uint64, st ackStages, ok bool, err error) {
-	switch len(b) {
-	case 8:
-		return binary.LittleEndian.Uint64(b), 0, ackStages{}, false, nil
-	case 48:
-		seq = binary.LittleEndian.Uint64(b[0:8])
-		spanID = binary.LittleEndian.Uint64(b[8:16])
-		st.Recv = time.Duration(binary.LittleEndian.Uint64(b[16:24]))
-		st.Decode = time.Duration(binary.LittleEndian.Uint64(b[24:32]))
-		st.Apply = time.Duration(binary.LittleEndian.Uint64(b[32:40]))
-		st.Ack = time.Duration(binary.LittleEndian.Uint64(b[40:48]))
-		return seq, spanID, st, true, nil
-	default:
-		return 0, 0, ackStages{}, false, fmt.Errorf("transport: %d-byte ack payload, want 8 or 48", len(b))
+// decodeAck parses an ack payload.
+func decodeAck(b []byte) (seq, spanID uint64, st ackStages, err error) {
+	if len(b) != 48 {
+		return 0, 0, ackStages{}, fmt.Errorf("transport: %d-byte ack payload, want 48", len(b))
 	}
+	seq = binary.LittleEndian.Uint64(b[0:8])
+	spanID = binary.LittleEndian.Uint64(b[8:16])
+	st.Recv = time.Duration(binary.LittleEndian.Uint64(b[16:24]))
+	st.Decode = time.Duration(binary.LittleEndian.Uint64(b[24:32]))
+	st.Apply = time.Duration(binary.LittleEndian.Uint64(b[32:40]))
+	st.Ack = time.Duration(binary.LittleEndian.Uint64(b[40:48]))
+	return seq, spanID, st, nil
 }
 
-// u64payload serializes a bare uint64 (acks, pings, pongs).
+// u64payload serializes a bare uint64 (pings, pongs).
 func u64payload(v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)
 }

@@ -29,16 +29,30 @@ func fill(t *testing.T, mem *memory.GuestMemory, first memory.PageNum, count int
 	}
 }
 
-// encode frames pages of mem into one checkpoint stream and commits
-// the encoder baseline (tests play the happy-path ack).
-func encode(t *testing.T, enc *wire.Encoder, mem *memory.GuestMemory,
+// codec is a content-aware encoder with its local replica mirror, the
+// delta baseline.
+type codec struct {
+	enc    *wire.Encoder
+	mirror *memory.GuestMemory
+}
+
+func newCodec() *codec {
+	return &codec{enc: wire.NewEncoder(true), mirror: memory.NewGuestMemory(testMemBytes)}
+}
+
+// encode frames pages of mem into one checkpoint stream and applies it
+// to the mirror, advancing the baseline (tests play the happy-path
+// ack).
+func encode(t *testing.T, c *codec, mem *memory.GuestMemory,
 	pages []memory.PageNum, seq uint64) []byte {
 	t.Helper()
-	cp, err := enc.Encode(mem, pages, []byte(fmt.Sprintf("state-%d", seq)), nil, seq, 1)
+	cp, err := c.enc.Encode(mem, c.mirror, pages, []byte(fmt.Sprintf("state-%d", seq)), nil, seq, 1)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	enc.Commit()
+	if _, err := wire.Decode(cp.Stream, c.mirror); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
 	return cp.Stream
 }
 
@@ -94,7 +108,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newCodec()
 	fill(t, mem, 10, 4, 0x11)
 
 	// A seeding round, then two checkpoints.
@@ -197,7 +211,7 @@ func TestStaleGenerationAfterTakeover(t *testing.T) {
 	}
 	defer cliA.Close()
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newCodec()
 	fill(t, mem, 0, 2, 0x44)
 	if err := cliA.SendCheckpoint(1, encode(t, enc, mem, pageRange(0, 2), 1)); err != nil {
 		t.Fatal(err)
@@ -233,7 +247,7 @@ func TestReconnectResumesAckedEpoch(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newCodec()
 	fill(t, mem, 5, 3, 0x55)
 	if err := cli.SendCheckpoint(1, encode(t, enc, mem, pageRange(5, 3), 1)); err != nil {
 		t.Fatal(err)
@@ -285,7 +299,7 @@ func TestLostAckLeavesPeerAhead(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newCodec()
 	fill(t, mem, 0, 2, 0x77)
 	if err := cli.SendCheckpoint(1, encode(t, enc, mem, pageRange(0, 2), 1)); err != nil {
 		t.Fatal(err)
@@ -331,7 +345,7 @@ func TestPartialWriteRejected(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newCodec()
 	fill(t, mem, 0, 8, 0x99)
 
 	// Cut each new connection after 64 upstream bytes: the next

@@ -23,12 +23,6 @@ type Result struct {
 	Stats Stats
 }
 
-// frame is one validated frame awaiting apply.
-type frame struct {
-	typ     byte
-	payload []byte
-}
-
 // Decode validates a checkpoint stream and applies it into dst, the
 // replica's guest memory. Validation — magic, version, every frame's
 // CRC32, structural bounds, delta well-formedness, the commit frame's
@@ -52,7 +46,6 @@ func Decode(stream []byte, dst *memory.GuestMemory) (*Result, error) {
 
 	// Pass 1: structural validation, no side effects.
 	res := &Result{}
-	var frames []frame
 	var pages int64
 	committed := false
 	off := headerSize
@@ -147,48 +140,42 @@ func Decode(stream []byte, dst *memory.GuestMemory) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("%w: 0x%02x at %d", ErrFrameType, typ, off)
 		}
-		frames = append(frames, frame{typ: typ, payload: payload})
 	}
 	if !committed {
 		return nil, fmt.Errorf("%w: stream not sealed", ErrCommit)
 	}
 
-	// Pass 2: apply. Every frame was validated above, so the only
-	// errors left are impossible-by-construction memory bounds.
-	var buf [memory.PageSize]byte
-	for _, f := range frames {
-		switch f.typ {
-		case frameZeroRun:
-			first := memory.PageNum(binary.LittleEndian.Uint64(f.payload[:8]))
-			count := binary.LittleEndian.Uint32(f.payload[8:12])
-			for i := uint32(0); i < count; i++ {
-				if err := dst.WritePage(first+memory.PageNum(i), zeroPage[:]); err != nil {
-					return nil, fmt.Errorf("wire: apply: %w", err)
+	// Pass 2: apply, straight into the destination pages under one
+	// lock. Every frame was validated above, so the walk re-reads
+	// headers without checks.
+	dst.WritePages(func(w memory.PageWriter) {
+		for off := headerSize; off < len(stream); {
+			typ := stream[off]
+			plen := int(binary.LittleEndian.Uint32(stream[off+1 : off+5]))
+			payload := stream[off+frameOverhead : off+frameOverhead+plen]
+			off += frameOverhead + plen
+			switch typ {
+			case frameZeroRun:
+				first := memory.PageNum(binary.LittleEndian.Uint64(payload[:8]))
+				count := binary.LittleEndian.Uint32(payload[8:12])
+				for i := uint32(0); i < count; i++ {
+					w.Clear(first + memory.PageNum(i))
 				}
+			case frameDelta:
+				p := memory.PageNum(binary.LittleEndian.Uint64(payload[:8]))
+				w.Update(p, func(page []byte) { rleApply(page, payload[8:]) })
+			case frameRaw:
+				w.Store(memory.PageNum(binary.LittleEndian.Uint64(payload[:8])), payload[8:])
+			case frameState:
+				res.State = append([]byte(nil), payload...)
+			case frameDisk:
+				res.Disk = append(res.Disk, DiskWrite{
+					Sector: binary.LittleEndian.Uint64(payload[:8]),
+					Data:   append([]byte(nil), payload[8:]...),
+				})
 			}
-		case frameDelta:
-			p := memory.PageNum(binary.LittleEndian.Uint64(f.payload[:8]))
-			if err := dst.ReadPage(p, buf[:]); err != nil {
-				return nil, fmt.Errorf("wire: apply: %w", err)
-			}
-			rleApply(buf[:], f.payload[8:])
-			if err := dst.WritePage(p, buf[:]); err != nil {
-				return nil, fmt.Errorf("wire: apply: %w", err)
-			}
-		case frameRaw:
-			p := memory.PageNum(binary.LittleEndian.Uint64(f.payload[:8]))
-			if err := dst.WritePage(p, f.payload[8:]); err != nil {
-				return nil, fmt.Errorf("wire: apply: %w", err)
-			}
-		case frameState:
-			res.State = append([]byte(nil), f.payload...)
-		case frameDisk:
-			res.Disk = append(res.Disk, DiskWrite{
-				Sector: binary.LittleEndian.Uint64(f.payload[:8]),
-				Data:   append([]byte(nil), f.payload[8:]...),
-			})
 		}
-	}
+	})
 	res.Pages = pages
 	res.Stats.EncodedBytes = int64(len(stream))
 	return res, nil

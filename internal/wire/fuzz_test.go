@@ -23,16 +23,19 @@ func fuzzStream(f *testing.F) []byte {
 	if err := src.WritePage(3, buf[:]); err != nil {
 		f.Fatal(err)
 	}
-	cp, err := enc.Encode(src, []memory.PageNum{0, 1, 3}, nil, nil, 0, 2)
+	mirror := memory.NewGuestMemory(64 * memory.PageSize)
+	cp, err := enc.Encode(src, mirror, []memory.PageNum{0, 1, 3}, nil, nil, 0, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc.Commit()
+	if _, err := Decode(cp.Stream, mirror); err != nil {
+		f.Fatal(err)
+	}
 	buf[17] ^= 0xF0
 	if err := src.WritePage(3, buf[:]); err != nil {
 		f.Fatal(err)
 	}
-	cp2, err := enc.Encode(src, []memory.PageNum{3}, []byte("state"),
+	cp2, err := enc.Encode(src, mirror, []memory.PageNum{3}, []byte("state"),
 		[]DiskWrite{{Sector: 2, Data: make([]byte, SectorSize)}}, 1, 2)
 	if err != nil {
 		f.Fatal(err)

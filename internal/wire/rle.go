@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/here-ft/here/internal/memory"
 )
@@ -23,15 +25,20 @@ import (
 const rleGapThreshold = 4
 
 // rleEncode appends the run-length encoding of residual to dst and
-// returns it. residual must be PageSize long.
-func rleEncode(dst, residual []byte) []byte {
+// returns it. residual must be PageSize long. It gives up, returning
+// false, once the encoding would reach PageSize bytes: from there a
+// raw frame is no larger, so the page ships verbatim.
+//
+// Both scans move a uint64 word at a time: zero runs skip whole zero
+// words, and literals skip words with no zero byte, since only a run
+// of rleGapThreshold zeros can end a literal.
+func rleEncode(dst, residual []byte) ([]byte, bool) {
+	n := len(residual)
+	room := memory.PageSize // encoded bytes left before raw wins
 	i := 0
-	for i < len(residual) {
-		run := i
-		for run < len(residual) && residual[run] == 0 {
-			run++
-		}
-		if run == len(residual) {
+	for i < n {
+		run := nextNonZero(residual, i)
+		if run == n {
 			break // trailing zeros are implicit
 		}
 		// Extend the literal until rleGapThreshold consecutive zeros
@@ -39,7 +46,11 @@ func rleEncode(dst, residual []byte) []byte {
 		lit := run
 		zeros := 0
 		end := lit
-		for end < len(residual) {
+		for end < n {
+			if zeros == 0 && end+8 <= n && !hasZeroByte(binary.LittleEndian.Uint64(residual[end:])) {
+				end += 8
+				continue
+			}
 			if residual[end] == 0 {
 				zeros++
 				if zeros >= rleGapThreshold {
@@ -51,15 +62,36 @@ func rleEncode(dst, residual []byte) []byte {
 			}
 			end++
 		}
-		if end > len(residual) {
-			end = len(residual)
+		var pair [2 * binary.MaxVarintLen64]byte
+		hdr := binary.AppendUvarint(pair[:0], uint64(run-i))
+		hdr = binary.AppendUvarint(hdr, uint64(end-lit))
+		if room -= len(hdr) + end - lit; room <= 0 {
+			return dst, false
 		}
-		dst = binary.AppendUvarint(dst, uint64(run-i))
-		dst = binary.AppendUvarint(dst, uint64(end-lit))
-		dst = append(dst, residual[lit:end]...)
+		dst = append(append(dst, hdr...), residual[lit:end]...)
 		i = end
 	}
-	return dst
+	return dst, true
+}
+
+// nextNonZero returns the index of the first non-zero byte of b at or
+// after i, or len(b) if there is none.
+func nextNonZero(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		if w := binary.LittleEndian.Uint64(b[i:]); w != 0 {
+			return i + bits.TrailingZeros64(w)/8
+		}
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	return i
+}
+
+// hasZeroByte reports whether any of w's eight bytes is zero.
+func hasZeroByte(w uint64) bool {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	return (w-lo)&^w&hi != 0
 }
 
 // rleValidate structurally checks an RLE byte string without touching
@@ -106,9 +138,7 @@ func rleApply(page, rle []byte) {
 		lit, n := binary.Uvarint(rle[off:])
 		off += n
 		cursor += int(zrun)
-		for j := 0; j < int(lit); j++ {
-			page[cursor+j] ^= rle[off+j]
-		}
+		subtle.XORBytes(page[cursor:cursor+int(lit)], page[cursor:cursor+int(lit)], rle[off:off+int(lit)])
 		cursor += int(lit)
 		off += int(lit)
 	}

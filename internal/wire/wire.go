@@ -53,11 +53,9 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"time"
 
 	"github.com/here-ft/here/internal/blockdev"
-	"github.com/here-ft/here/internal/memory"
 )
 
 // Version is the wire format version carried in the stream header.
@@ -168,22 +166,3 @@ func appendHeader(b []byte) []byte {
 	b = append(b, magic[:]...)
 	return binary.LittleEndian.AppendUint16(b, Version)
 }
-
-// appendFrame writes one framed payload.
-func appendFrame(b []byte, typ byte, payload []byte) []byte {
-	b = append(b, typ)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-var zeroPage [memory.PageSize]byte

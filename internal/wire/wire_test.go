@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -63,12 +64,13 @@ func mutate(t *testing.T, rng *rand.Rand, src *memory.GuestMemory) []memory.Page
 	return dirty
 }
 
-// roundTrip encodes the dirty set on src and decodes into dst,
-// committing the baseline, and fails the test on any error.
+// roundTrip encodes the dirty set on src against dst, the replica
+// mirror, and decodes into dst — the acknowledged path that advances
+// the delta baseline — failing the test on any error.
 func roundTrip(t *testing.T, enc *Encoder, src, dst *memory.GuestMemory,
 	dirty []memory.PageNum, seq uint64, shards int) (*Checkpoint, *Result) {
 	t.Helper()
-	cp, err := enc.Encode(src, dirty, nil, nil, seq, shards)
+	cp, err := enc.Encode(src, dst, dirty, nil, nil, seq, shards)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -76,7 +78,6 @@ func roundTrip(t *testing.T, enc *Encoder, src, dst *memory.GuestMemory,
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	enc.Commit()
 	return cp, res
 }
 
@@ -92,6 +93,21 @@ func TestRoundTripReproducesMemory(t *testing.T) {
 			src, dst := newMem(), newMem()
 			for epoch := 0; epoch < 12; epoch++ {
 				dirty := mutate(t, rng, src)
+				if !contentAware {
+					// Raw mode keeps no baseline: the mirror must not
+					// change a single byte of the stream.
+					a, err := enc.Encode(src, dst, dirty, nil, nil, uint64(epoch), shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := enc.Encode(src, nil, dirty, nil, nil, uint64(epoch), shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a.Stream, b.Stream) {
+						t.Fatalf("shards=%d epoch %d: raw stream depends on the baseline", shards, epoch)
+					}
+				}
 				cp, res := roundTrip(t, enc, src, dst, dirty, uint64(epoch), shards)
 				if src.Hash() != dst.Hash() {
 					t.Fatalf("contentAware=%v shards=%d epoch %d: replica hash mismatch",
@@ -109,9 +125,6 @@ func TestRoundTripReproducesMemory(t *testing.T) {
 					t.Fatalf("frame mix covers %d pages, dirty set has %d",
 						got, len(dirty))
 				}
-			}
-			if !contentAware && enc.BaselinePages() != 0 {
-				t.Fatalf("raw mode grew a baseline cache: %d pages", enc.BaselinePages())
 			}
 		}
 	}
@@ -194,10 +207,11 @@ func TestRawModeChargesFullPages(t *testing.T) {
 	}
 }
 
-// TestRollbackKeepsBaseline checks the baseline lifecycle: a rolled-
-// back encode must not advance the delta baseline, so the next encode
-// still diffs against the last committed epoch and the replica decodes
-// to the source exactly.
+// TestRollbackKeepsBaseline checks the baseline lifecycle: an
+// abandoned stream — encoded but never acknowledged, so never decoded
+// into the mirror — must not advance the delta baseline, so the next
+// encode still diffs against the last acknowledged epoch and the
+// replica decodes to the source exactly.
 func TestRollbackKeepsBaseline(t *testing.T) {
 	enc := NewEncoder(true)
 	src, dst := newMem(), newMem()
@@ -208,19 +222,18 @@ func TestRollbackKeepsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, enc, src, dst, []memory.PageNum{42}, 0, 1)
-	base := enc.BaselinePages()
+	acked := dst.Hash()
 
 	// Mutate and encode, but abandon the checkpoint.
 	buf[0] ^= 0xAA
 	if err := src.WritePage(42, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := enc.Encode(src, []memory.PageNum{42}, nil, nil, 1, 1); err != nil {
+	if _, err := enc.Encode(src, dst, []memory.PageNum{42}, nil, nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	enc.Rollback()
-	if enc.BaselinePages() != base {
-		t.Fatalf("baseline changed across rollback: %d -> %d", base, enc.BaselinePages())
+	if dst.Hash() != acked {
+		t.Fatal("encoding moved the baseline off the acknowledged epoch")
 	}
 
 	// Mutate again; the re-encode must diff against epoch 0's image,
@@ -239,8 +252,8 @@ func TestRollbackKeepsBaseline(t *testing.T) {
 }
 
 // TestCommitDropsRezeroedBaseline checks that a page going all-zero
-// evicts its baseline image on commit (the cache must not hold images
-// the replica no longer has as content).
+// leaves the baseline on acknowledgement: the mirror must not keep an
+// image the replica no longer has as content.
 func TestCommitDropsRezeroedBaseline(t *testing.T) {
 	enc := NewEncoder(true)
 	src, dst := newMem(), newMem()
@@ -250,17 +263,16 @@ func TestCommitDropsRezeroedBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, enc, src, dst, []memory.PageNum{5}, 0, 1)
-	if enc.BaselinePages() != 1 {
-		t.Fatalf("baseline = %d pages, want 1", enc.BaselinePages())
+	if dst.NonZeroPages() != 1 {
+		t.Fatalf("baseline = %d pages, want 1", dst.NonZeroPages())
 	}
 	clear(buf[:])
 	if err := src.WritePage(5, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	roundTrip(t, enc, src, dst, []memory.PageNum{5}, 1, 1)
-	if enc.BaselinePages() != 0 || enc.BaselineBytes() != 0 {
-		t.Fatalf("re-zeroed page kept its baseline: %d pages, %d bytes",
-			enc.BaselinePages(), enc.BaselineBytes())
+	if dst.PopulatedPages() != 0 {
+		t.Fatalf("re-zeroed page kept its baseline: %d pages", dst.PopulatedPages())
 	}
 	if src.Hash() != dst.Hash() {
 		t.Fatal("replica diverged")
@@ -275,7 +287,7 @@ func TestStateAndDiskFramesRoundTrip(t *testing.T) {
 	sector := make([]byte, SectorSize)
 	sector[0] = 0xDE
 	disk := []DiskWrite{{Sector: 9, Data: sector}, {Sector: 11, Data: sector}}
-	cp, err := enc.Encode(src, nil, state, disk, 3, 2)
+	cp, err := enc.Encode(src, nil, nil, state, disk, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +321,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if err := src.WritePage(1, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := enc.Encode(src, []memory.PageNum{0, 1}, []byte("st"),
+	cp, err := enc.Encode(src, nil, []memory.PageNum{0, 1}, []byte("st"),
 		[]DiskWrite{{Sector: 1, Data: make([]byte, SectorSize)}}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +372,7 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	if err := big.WritePage(12, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := enc.Encode(big, []memory.PageNum{12}, nil, nil, 0, 1)
+	cp, err := enc.Encode(big, nil, []memory.PageNum{12}, nil, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +386,7 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	if _, err := Decode(nil, small); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
-	if _, err := enc.Encode(big, []memory.PageNum{99}, nil, nil, 0, 1); err == nil {
+	if _, err := enc.Encode(big, nil, []memory.PageNum{99}, nil, nil, 0, 1); err == nil {
 		t.Fatal("encode accepted out-of-range page")
 	}
 }
@@ -386,5 +398,81 @@ func TestStatsRatio(t *testing.T) {
 	}
 	if r := (Stats{RawBytes: 100, EncodedBytes: 25}).Ratio(); r != 0.25 {
 		t.Fatalf("ratio = %v, want 0.25", r)
+	}
+}
+
+// rleReference is the byte-at-a-time run-length encoder the word-wise
+// rleEncode must reproduce exactly.
+func rleReference(residual []byte) []byte {
+	var dst []byte
+	i := 0
+	for i < len(residual) {
+		run := i
+		for run < len(residual) && residual[run] == 0 {
+			run++
+		}
+		if run == len(residual) {
+			break
+		}
+		zeros, end := 0, run
+		for ; end < len(residual); end++ {
+			if residual[end] != 0 {
+				zeros = 0
+				continue
+			}
+			if zeros++; zeros >= rleGapThreshold {
+				end -= zeros - 1
+				break
+			}
+		}
+		dst = binary.AppendUvarint(dst, uint64(run-i))
+		dst = binary.AppendUvarint(dst, uint64(end-run))
+		dst = append(dst, residual[run:end]...)
+		i = end
+	}
+	return dst
+}
+
+// TestRLEMatchesReference checks the word-wise encoder against the
+// byte-wise reference on residuals whose zero gaps straddle word
+// boundaries at every length around rleGapThreshold, including the
+// raw cut-over: rleEncode must give up exactly when the reference
+// encoding reaches PageSize bytes.
+func TestRLEMatchesReference(t *testing.T) {
+	var residual [memory.PageSize]byte
+	// Leading zeros then one literal to the page end: 3 zeros encode to
+	// exactly PageSize bytes (raw), 4 zeros to one byte less (delta).
+	for zeros, wantOK := range map[int]bool{3: false, 4: true} {
+		for i := range residual {
+			residual[i] = 1
+		}
+		clear(residual[:zeros])
+		if _, ok := rleEncode(nil, residual[:]); ok != wantOK {
+			t.Fatalf("%d leading zeros: ok=%v, want %v", zeros, ok, wantOK)
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 2000; iter++ {
+		clear(residual[:])
+		density := rng.Intn(memory.PageSize) + 1 // non-zero bytes
+		if iter%4 == 0 {
+			density = memory.PageSize - rng.Intn(64) // near-full pages
+		}
+		for k := 0; k < density; k++ {
+			residual[rng.Intn(memory.PageSize)] = byte(1 + rng.Intn(255))
+		}
+		// Gaps of 1..8 zeros at random offsets exercise the threshold.
+		for k := rng.Intn(20); k > 0; k-- {
+			off := rng.Intn(memory.PageSize - 8)
+			clear(residual[off : off+1+rng.Intn(8)])
+		}
+		want := rleReference(residual[:])
+		got, ok := rleEncode(nil, residual[:])
+		if ok != (len(want) < memory.PageSize) {
+			t.Fatalf("iter %d: ok=%v for a %d-byte reference encoding", iter, ok, len(want))
+		}
+		if ok && !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: word-wise encoding differs from the reference", iter)
+		}
 	}
 }
