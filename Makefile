@@ -1,10 +1,10 @@
 GO ?= go
 
-RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
+RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery ./internal/migration
 
-.PHONY: check vet fmt build test race fuzz-smoke bench bench-fleet bench-recovery bench-gate trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke perfbench-check bench bench-fleet bench-recovery bench-gate trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke
+check: vet fmt build test race fuzz-smoke perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,11 @@ race:
 # generation) — fast regression coverage for the stream parsers.
 fuzz-smoke:
 	$(GO) test -run=Fuzz ./internal/...
+
+# perfbench/ is a nested module, so the root ./... never builds it:
+# vet and test it on its own against this checkout's packages.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
 # checked-in BENCH_wire.json and BENCH_trace.json baselines.

@@ -224,7 +224,7 @@ func RingAblation(scale Scale, capacities []int) ([]RingAblationRow, error) {
 			return nil, err
 		}
 		res, err := migration.Migrate(vm, memory.NewGuestMemory(GB(1)), migration.Config{
-			Transport: pair.Link, Mode: migration.ModeHERE, Workload: w,
+			Transport: migration.Modeled(pair.Link), Mode: migration.ModeHERE, Workload: w,
 		})
 		if err != nil {
 			return nil, err

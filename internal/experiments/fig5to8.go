@@ -121,7 +121,7 @@ func Fig6(scale Scale) (Fig6Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		cfg := migration.Config{Transport: pair.Link, Mode: mode}
+		cfg := migration.Config{Transport: migration.Modeled(pair.Link), Mode: mode}
 		if loadPct > 0 {
 			w, err := workload.NewMemoryBench(loadPct, scale.WriteRatePages, scale.Seed)
 			if err != nil {

@@ -232,6 +232,14 @@ func (h *Host) VMs() []string {
 	return names
 }
 
+// NumVMs reports how many VMs the host runs: len(VMs()) without
+// building and sorting the name list, for load reads on hot paths.
+func (h *Host) NumVMs() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.vms)
+}
+
 // DepositReplica parks replica-side checkpoint state on this host
 // under a stable key (the protection name). It fails if the host is
 // not healthy — a dead host can hold no state.

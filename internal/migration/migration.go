@@ -66,21 +66,31 @@ const (
 	DefaultStopThreshold = 256
 )
 
-// Transport carries the migration traffic: *simnet.Link for the
-// deterministic in-process simulation, or a real network transport
-// (*transport.Client). Structural typing keeps the packages decoupled.
+// Transport carries the migration traffic to the destination, one
+// encoded round at a time. Replication hands in its leg backend, so a
+// round crosses a real network or is charged to a modeled link; Modeled
+// adapts a bare modeled link such as *simnet.Link.
 type Transport interface {
-	// Transfer moves (or models moving) bytes split across streams,
-	// reporting the time it took.
+	// SendRound ships one round's encoded stream, split across up to
+	// streams parallel streams, and returns once the destination holds
+	// it.
+	SendRound(round uint64, cp *wire.Checkpoint, streams int) error
+}
+
+// Link is a byte-mover that only models transfer time (*simnet.Link).
+type Link interface {
 	Transfer(bytes int64, streams int) (time.Duration, error)
 }
 
-// seedSender is the optional Transport extension a real network
-// transport implements: the encoded seed stream itself crosses the
-// wire and the peer replica applies it. A plain Transport only models
-// the transfer cost while the stream is decoded locally.
-type seedSender interface {
-	SendSeed(round uint64, stream []byte) error
+// Modeled adapts a Link to Transport: each round is charged its wire
+// size.
+func Modeled(link Link) Transport { return modeled{link} }
+
+type modeled struct{ Link }
+
+func (m modeled) SendRound(_ uint64, cp *wire.Checkpoint, streams int) error {
+	_, err := m.Transfer(cp.WireSize, streams)
+	return err
 }
 
 // Config parameterizes a migration.
@@ -286,13 +296,7 @@ func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.Pa
 		if err != nil {
 			return 0, fmt.Errorf("migration: %w", err)
 		}
-		if sender, ok := link.(seedSender); ok {
-			// Real transport: the stream itself crosses the wire, and the
-			// return is the peer replica's acknowledgement of the round.
-			if err := sender.SendSeed(uint64(res.Iterations), cp.Stream); err != nil {
-				return 0, fmt.Errorf("migration: %w", err)
-			}
-		} else if _, err := link.Transfer(cp.WireSize, threads); err != nil {
+		if err := link.SendRound(uint64(res.Iterations), cp, threads); err != nil {
 			return 0, fmt.Errorf("migration: %w", err)
 		}
 		if _, err := wire.Decode(cp.Stream, dst); err != nil {

@@ -43,20 +43,20 @@ func newRig(t *testing.T, memBytes uint64, vcpus int) *rig {
 
 func TestMigrateValidation(t *testing.T) {
 	r := newRig(t, 1<<20, 1)
-	if _, err := migration.Migrate(nil, r.dst, migration.Config{Transport: r.link, Mode: migration.ModeXen}); err == nil {
+	if _, err := migration.Migrate(nil, r.dst, migration.Config{Transport: migration.Modeled(r.link), Mode: migration.ModeXen}); err == nil {
 		t.Fatal("nil vm accepted")
 	}
-	if _, err := migration.Migrate(r.vm, nil, migration.Config{Transport: r.link, Mode: migration.ModeXen}); err == nil {
+	if _, err := migration.Migrate(r.vm, nil, migration.Config{Transport: migration.Modeled(r.link), Mode: migration.ModeXen}); err == nil {
 		t.Fatal("nil dst accepted")
 	}
 	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{Mode: migration.ModeXen}); err == nil {
 		t.Fatal("nil link accepted")
 	}
-	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{Transport: r.link}); err == nil {
+	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{Transport: migration.Modeled(r.link)}); err == nil {
 		t.Fatal("zero mode accepted")
 	}
 	r.vm.Pause()
-	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{Transport: r.link, Mode: migration.ModeXen}); err == nil {
+	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{Transport: migration.Modeled(r.link), Mode: migration.ModeXen}); err == nil {
 		t.Fatal("paused vm accepted")
 	}
 }
@@ -71,7 +71,7 @@ func TestMigrateIdleCopiesMemoryExactly(t *testing.T) {
 		}
 	}
 	res, err := migration.Migrate(r.vm, r.dst, migration.Config{
-		Transport: r.link, Mode: migration.ModeXen,
+		Transport: migration.Modeled(r.link), Mode: migration.ModeXen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestMigrateHEREPreservesContentUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := migration.Migrate(r.vm, r.dst, migration.Config{
-		Transport: r.link, Mode: migration.ModeHERE, Workload: w, StopThreshold: 64,
+		Transport: migration.Modeled(r.link), Mode: migration.ModeHERE, Workload: w, StopThreshold: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestMigrateHEREPreservesContentUnderLoad(t *testing.T) {
 func TestMigrateLoadedRunsMoreIterationsThanIdle(t *testing.T) {
 	idle := newRig(t, 4096*memory.PageSize, 4)
 	resIdle, err := migration.Migrate(idle.vm, idle.dst, migration.Config{
-		Transport: idle.link, Mode: migration.ModeXen,
+		Transport: migration.Modeled(idle.link), Mode: migration.ModeXen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestMigrateLoadedRunsMoreIterationsThanIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resLoaded, err := migration.Migrate(loaded.vm, loaded.dst, migration.Config{
-		Transport: loaded.link, Mode: migration.ModeXen, Workload: w,
+		Transport: migration.Modeled(loaded.link), Mode: migration.ModeXen, Workload: w,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,14 +167,14 @@ func TestHEREFasterOnLargeIdleVM(t *testing.T) {
 	const size = 4 << 30 // 4 GB
 	xenRig := newRig(t, size, 4)
 	resXen, err := migration.Migrate(xenRig.vm, xenRig.dst, migration.Config{
-		Transport: xenRig.link, Mode: migration.ModeXen,
+		Transport: migration.Modeled(xenRig.link), Mode: migration.ModeXen,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hereRig := newRig(t, size, 4)
 	resHERE, err := migration.Migrate(hereRig.vm, hereRig.dst, migration.Config{
-		Transport: hereRig.link, Mode: migration.ModeHERE,
+		Transport: migration.Modeled(hereRig.link), Mode: migration.ModeHERE,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestHEREFasterUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := migration.Migrate(r.vm, r.dst, migration.Config{
-			Transport: r.link, Mode: mode, Workload: w,
+			Transport: migration.Modeled(r.link), Mode: mode, Workload: w,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestMigrateLinkFailureAborts(t *testing.T) {
 	r := newRig(t, 1<<22, 2)
 	r.link.SetDown(true)
 	if _, err := migration.Migrate(r.vm, r.dst, migration.Config{
-		Transport: r.link, Mode: migration.ModeXen,
+		Transport: migration.Modeled(r.link), Mode: migration.ModeXen,
 	}); err == nil {
 		t.Fatal("migration over a dead link succeeded")
 	}
@@ -235,7 +235,7 @@ func TestProblematicPagesAreResent(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := migration.Migrate(r.vm, r.dst, migration.Config{
-		Transport: r.link, Mode: migration.ModeHERE, Workload: w,
+		Transport: migration.Modeled(r.link), Mode: migration.ModeHERE, Workload: w,
 		// Large PML rings so attribution survives; see VMConfig below.
 	})
 	if err != nil {
@@ -266,7 +266,7 @@ func TestProblematicPagesCountedWithLargeRings(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := migration.Migrate(vm, memory.NewGuestMemory(2048*memory.PageSize), migration.Config{
-		Transport: link, Mode: migration.ModeHERE, Workload: w,
+		Transport: migration.Modeled(link), Mode: migration.ModeHERE, Workload: w,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestMigrationTimeScalesWithMemory(t *testing.T) {
 	for _, gb := range []uint64{1, 2, 4} {
 		r := newRig(t, gb<<30, 4)
 		res, err := migration.Migrate(r.vm, r.dst, migration.Config{
-			Transport: r.link, Mode: migration.ModeXen,
+			Transport: migration.Modeled(r.link), Mode: migration.ModeXen,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -622,7 +622,7 @@ func hostInfo(h hypervisor.Hypervisor) HostInfo {
 		Reason:  h.FailureReason(),
 	}
 	if host, ok := h.(*hypervisor.Host); ok {
-		info.VMs = len(host.VMs())
+		info.VMs = host.NumVMs()
 	}
 	return info
 }
@@ -1057,9 +1057,8 @@ type protSnap struct {
 	st          Status // host info and Running left unfilled
 	vm          *hypervisor.VM
 	primary     hypervisor.Hypervisor
-	secondary   hypervisor.Hypervisor
-	secondaries []hypervisor.Hypervisor
-	transport   statusReporter // nil unless a dialed network client
+	secondaries []hypervisor.Hypervisor // leg 0 is Status.Secondary
+	transport   statusReporter          // nil unless a dialed network client
 }
 
 // statusSnap is the RCU-published fleet view: mutators build a new one
@@ -1091,12 +1090,13 @@ func (ps *protSnap) materialize() Status {
 	if ps.primary != nil {
 		st.Primary = hostInfo(ps.primary)
 	}
-	if ps.secondary != nil {
-		info := hostInfo(ps.secondary)
-		st.Secondary = &info
-	}
-	for _, s := range ps.secondaries {
-		st.Secondaries = append(st.Secondaries, hostInfo(s))
+	for i, s := range ps.secondaries {
+		info := hostInfo(s)
+		if i == 0 {
+			// Secondary duplicates leg 0; read its host once.
+			st.Secondary = &info
+		}
+		st.Secondaries = append(st.Secondaries, info)
 	}
 	return st
 }
@@ -1105,9 +1105,8 @@ func (ps *protSnap) materialize() Status {
 // m.mu.
 func (m *Manager) snapLocked(p *Protection) *protSnap {
 	ps := &protSnap{
-		vm:        p.vm,
-		primary:   p.primary,
-		secondary: p.secondary,
+		vm:      p.vm,
+		primary: p.primary,
 	}
 	for _, s := range p.secondaries {
 		ps.secondaries = append(ps.secondaries, s)

@@ -543,3 +543,40 @@ func TestReprotectWaitsOutSparePoolExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNumVMsMatchesVMs: the O(1) Host.NumVMs the read and placement
+// paths use must agree with len(VMs()) as protection creates, fails
+// over (restoring a replica VM) and destroys VMs.
+func TestNumVMsMatchesVMs(t *testing.T) {
+	m, hosts, _ := fleet(t, "xkxk")
+	check := func(step string) {
+		t.Helper()
+		for _, h := range hosts {
+			if got, want := h.NumVMs(), len(h.VMs()); got != want {
+				t.Fatalf("%s: %s NumVMs = %d, len(VMs) = %d", step, h.HostName(), got, want)
+			}
+		}
+		for _, info := range m.HostsStatus() {
+			for _, h := range hosts {
+				if h.HostName() == info.Name && info.VMs != len(h.VMs()) {
+					t.Fatalf("%s: HostInfo(%s).VMs = %d, want %d", step, info.Name, info.VMs, len(h.VMs()))
+				}
+			}
+		}
+	}
+	check("empty")
+	for _, name := range []string{"svc-0", "svc-1", "svc-2"} {
+		if _, err := m.Protect(spec(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("create")
+	if _, err := m.Failover("svc-1"); err != nil {
+		t.Fatal(err)
+	}
+	check("failover")
+	if err := m.Unprotect("svc-0"); err != nil {
+		t.Fatal(err)
+	}
+	check("destroy")
+}

@@ -35,10 +35,8 @@ var ErrLegGone = errors.New("replication: no such chain leg")
 // the owning Replicator's mutex.
 type leg struct {
 	dst hypervisor.Hypervisor
-	tp  Transport
-	// sender is non-nil when tp carries the encoded streams itself —
-	// only permitted on single-leg chains.
-	sender CheckpointSender
+	// be carries the leg's checkpoints and seeding rounds to its replica.
+	be backend
 	// enc is this leg's wire codec.
 	enc *wire.Encoder
 	// mem and lastImage are the replica-side memory and the dst-native
@@ -90,17 +88,19 @@ type LegStatus struct {
 	DeadCause string `json:"dead_cause,omitempty"`
 }
 
-// newLeg builds the state for one secondary.
-func newLeg(sec Secondary, memBytes uint64, compression bool) *leg {
-	sender, _ := sec.Transport.(CheckpointSender)
+// newLeg builds the state for one secondary, choosing its backend.
+func newLeg(sec Secondary, memBytes uint64, compression bool) (*leg, error) {
+	be, err := pickBackend(sec.Transport)
+	if err != nil {
+		return nil, err
+	}
 	return &leg{
 		dst:     sec.Host,
-		tp:      sec.Transport,
-		sender:  sender,
+		be:      be,
 		enc:     wire.NewEncoder(compression),
 		mem:     memory.NewGuestMemory(memBytes),
 		pending: make(map[memory.PageNum]struct{}),
-	}
+	}, nil
 }
 
 // missedEpoch folds an epoch's dirty snapshot into the leg's backlog:
@@ -179,9 +179,10 @@ func (l *leg) pendingPages() []memory.PageNum {
 // (paper §8.2 generalized: 1 primary + N replicas on distinct
 // hypervisor flavors). The protected VM must have been booted with the
 // CPUID feature intersection of the whole chain
-// (translate.CompatibleFeaturesAll). Chains of more than one leg
-// require simulated transports: a CheckpointSender (real TCP peer)
-// reconciles acked epochs pairwise and cannot fan out.
+// (translate.CompatibleFeaturesAll). Every Transport must be a
+// ModeledLink or a CheckpointSender, and chains of more than one leg
+// require modeled links: a CheckpointSender (real TCP peer) reconciles
+// acked epochs pairwise and cannot fan out.
 func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicator, error) {
 	if vm == nil {
 		return nil, errors.New("replication: nil vm")
@@ -315,7 +316,12 @@ func (r *Replicator) ReplicaImageAt(i int) (image []byte, mem *memory.GuestMemor
 	return r.legs[i].lastImage, r.legs[i].mem, nil
 }
 
-// HandoffAt exports leg i's resume state (see Handoff).
+// HandoffAt exports the replica-side state a successor replicator
+// needs to resume leg i without a full re-seed: the replica memory, a
+// copy of the last acknowledged state image, and its sequence number.
+// The control plane parks it on the secondary host after each
+// acknowledged checkpoint (see hypervisor.ReplicaDeposit) and feeds it
+// back through Config.Resume after a restart.
 func (r *Replicator) HandoffAt(i int) (*ResumeState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -336,7 +342,7 @@ func (r *Replicator) HandoffAt(i int) (*ResumeState, error) {
 // AddLeg appends a new secondary to a running chain. The leg is seeded
 // with a full copy inside the next checkpoint pause — the only moment
 // the guest state is consistent — and participates from then on. The
-// restriction on real network transports is the same as NewChain's.
+// restrictions on transports are the same as NewChain's.
 func (r *Replicator) AddLeg(sec Secondary) error {
 	if sec.Host == nil || sec.Transport == nil {
 		return errors.New("replication: nil host or transport")
@@ -350,10 +356,14 @@ func (r *Replicator) AddLeg(sec Secondary) error {
 	if r.state == StateFailedOver {
 		return ErrFailedOver
 	}
-	if _, isSender := sec.Transport.(CheckpointSender); isSender || (len(r.legs) > 0 && r.legs[0].sender != nil) {
+	_, isSender := sec.Transport.(CheckpointSender)
+	if _, onSender := r.legs[0].be.(CheckpointSender); isSender || onSender {
 		return errors.New("replication: multi-leg chains require simulated transports")
 	}
-	l := newLeg(sec, r.primary.Memory().SizeBytes(), r.cfg.Compression)
+	l, err := newLeg(sec, r.primary.Memory().SizeBytes(), r.cfg.Compression)
+	if err != nil {
+		return err
+	}
 	l.enc.Instrument(r.reg)
 	l.needsSeed = r.seeded
 	r.legs = append(r.legs, l)

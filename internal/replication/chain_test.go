@@ -346,6 +346,67 @@ func TestChainFencedLegDiesReplicationContinues(t *testing.T) {
 	}
 }
 
+// TestSingleLegFencedReturnsPermanentError: with no other leg to carry
+// the chain, a permanent failure on a modeled link surfaces as the
+// transport error — degraded mode could never resync a fenced path —
+// with the dirty set re-armed and the protection state left alone.
+func TestSingleLegFencedReturnsPermanentError(t *testing.T) {
+	r := newChainRig(t, 256*memory.PageSize)
+	fl := &fencingLink{Link: r.linkA}
+	rep, err := replication.NewChain(r.vm,
+		[]replication.Secondary{{Host: r.secA, Transport: fl}},
+		replication.Config{Engine: replication.EngineHERE, Period: 500 * time.Millisecond, DegradedMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedChain(t, rep)
+	if _, err := rep.RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+
+	fl.fenced = true
+	writePage(t, r.vm, 9, "after the fence")
+	var fenced fencedErr
+	if _, err := rep.RunCycle(); !errors.As(err, &fenced) {
+		t.Fatalf("fenced single leg: err = %v, want the permanent transport error", err)
+	}
+	if got := rep.State(); got != replication.StateProtected {
+		t.Fatalf("state = %v, want protected (a fenced path never degrades)", got)
+	}
+	if !r.vm.Tracker().Bitmap().Test(9) {
+		t.Fatal("dirty set not re-armed after the permanent failure")
+	}
+	if legs := rep.Legs(); legs[0].Dead {
+		t.Fatalf("the only leg was marked dead: %+v", legs)
+	}
+}
+
+// pathOnly is a Transport that can neither model transfers nor ship
+// streams.
+type pathOnly struct{}
+
+func (pathOnly) Down() bool                      { return false }
+func (pathOnly) PropagationDelay() time.Duration { return 0 }
+
+func TestChainRefusesTransportWithoutBackend(t *testing.T) {
+	r := newChainRig(t, 64*memory.PageSize)
+	cfg := replication.Config{Engine: replication.EngineHERE, Period: time.Second}
+	if _, err := replication.NewChain(r.vm,
+		[]replication.Secondary{{Host: r.secA, Transport: pathOnly{}}}, cfg); err == nil {
+		t.Fatal("NewChain accepted a transport that is neither modeled nor a CheckpointSender")
+	}
+	rep, err := replication.NewChain(r.vm, []replication.Secondary{{Host: r.secA, Transport: r.linkA}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.AddLeg(replication.Secondary{Host: r.secB, Transport: pathOnly{}}); err == nil {
+		t.Fatal("AddLeg accepted a transport that is neither modeled nor a CheckpointSender")
+	}
+	if got := rep.NumLegs(); got != 1 {
+		t.Fatalf("NumLegs = %d after a refused AddLeg", got)
+	}
+}
+
 // senderLink is a fake real-network transport: it implements
 // CheckpointSender, which multi-leg chains must refuse (pairwise ack
 // reconciliation cannot fan out).
@@ -356,6 +417,9 @@ type senderLink struct {
 func (s *senderLink) SendCheckpoint(seq uint64, stream []byte) error { return nil }
 func (s *senderLink) SendSeed(round uint64, stream []byte) error     { return nil }
 func (s *senderLink) PeerAcked() (uint64, bool)                      { return 0, false }
+func (s *senderLink) LastRemoteStages() (recv, decode, apply, ack time.Duration, ok bool) {
+	return 0, 0, 0, 0, false
+}
 
 func TestChainRefusesSenderFanOut(t *testing.T) {
 	r := newChainRig(t, 64*memory.PageSize)

@@ -208,17 +208,11 @@ type RecoveryStats struct {
 // ackBytes is the size of the replica's checkpoint acknowledgement.
 const ackBytes = 64
 
-// Transport carries checkpoint traffic to the secondary host. Two
-// implementations exist: *simnet.Link — the deterministic in-process
-// simulation the experiments run on — and *transport.Client, a real
-// TCP connection to a peer daemon. Structural typing keeps the
-// packages decoupled; the replicator only sees this face.
+// Transport is the path to one secondary host: what the degraded-mode
+// probe and the failure detector need of it. Each Transport must also
+// be a ModeledLink (*simnet.Link) or a CheckpointSender
+// (*transport.Client), the two ways a leg's traffic reaches its replica.
 type Transport interface {
-	// Transfer moves (or models moving) bytes split across streams,
-	// reporting the time it took. Errors are transient path failures
-	// (link down, disconnected) unless they satisfy
-	// interface{ Permanent() bool }.
-	Transfer(bytes int64, streams int) (time.Duration, error)
 	// Down reports whether the path is currently unusable; the
 	// degraded-mode probe polls it before attempting a resync.
 	Down() bool
@@ -227,13 +221,23 @@ type Transport interface {
 	PropagationDelay() time.Duration
 }
 
-// CheckpointSender is the optional Transport extension a real network
-// transport implements: the encoded stream itself crosses the wire,
-// the remote replica decodes and applies it, and the acknowledgement
-// is the replica's — not a simulated round trip. When the configured
-// Transport implements it, the replicator ships streams through it and
-// reconciles acknowledged epochs with the peer after reconnects (the
-// delta-resync-from-last-acked-epoch ladder).
+// ModeledLink is a Transport that only models moving bytes: the
+// replicator charges each checkpoint's wire size and its ack to
+// Transfer and decodes the stream into the leg's replica memory itself.
+// Transfer errors are transient path failures (link down) unless they
+// satisfy interface{ Permanent() bool }.
+type ModeledLink interface {
+	Transport
+	migration.Link
+}
+
+// CheckpointSender is a Transport to a real peer: the encoded stream
+// itself crosses the wire, the remote replica decodes and applies it,
+// and the acknowledgement is the replica's — not a modeled round trip.
+// Streams are never retried; the peer's acked epoch, refreshed by every
+// re-handshake, decides how a resync proceeds (the
+// delta-resync-from-last-acked-epoch ladder). A CheckpointSender leg
+// must be the only leg of its chain.
 type CheckpointSender interface {
 	Transport
 	// SendCheckpoint ships one checkpoint stream and blocks until the
@@ -246,42 +250,9 @@ type CheckpointSender interface {
 	// acknowledged, refreshed by every re-handshake; ok is false when
 	// the peer holds none.
 	PeerAcked() (seq uint64, ok bool)
-}
-
-// remoteStageSource is the optional CheckpointSender extension a
-// transport implements when its acks carry the secondary-side stage
-// timings (transport.Client does). Structural, so replication stays
-// decoupled from the transport package.
-type remoteStageSource interface {
+	// LastRemoteStages reports the secondary-side stage timings the
+	// last acknowledgement carried; ok is false before the first.
 	LastRemoteStages() (recv, decode, apply, ack time.Duration, ok bool)
-}
-
-// recordRemoteStages merges the secondary-side stage timings reported
-// in the last acknowledgement into the epoch's trace as remote-* spans,
-// giving EpochBreakdown its cross-node view: wire transit falls out as
-// the transfer span minus these stages.
-func (r *Replicator) recordRemoteStages(sender CheckpointSender, epochID int64, start time.Time, engine string) {
-	src, ok := sender.(remoteStageSource)
-	if !ok || !r.tr.Enabled() {
-		return
-	}
-	recv, dec, app, ack, ok := src.LastRemoteStages()
-	if !ok {
-		return
-	}
-	for _, s := range [...]struct {
-		kind trace.Kind
-		dur  time.Duration
-	}{
-		{trace.SpanRemoteRecv, recv},
-		{trace.SpanRemoteDecode, dec},
-		{trace.SpanRemoteApply, app},
-		{trace.SpanRemoteAck, ack},
-	} {
-		r.tr.Record(trace.Event{
-			Kind: s.kind, Epoch: epochID, Start: start, Dur: s.dur, Engine: engine,
-		})
-	}
 }
 
 // isPermanentErr reports whether err declares itself unrecoverable
@@ -336,12 +307,11 @@ type Config struct {
 	// Engine selects Remus or HERE.
 	Engine Engine
 	// Transport carries checkpoints to the secondary host: a
-	// *simnet.Link for deterministic in-process simulation, or a
-	// *transport.Client streaming to a peer daemon over TCP. A
-	// Transport that also implements CheckpointSender ships the encoded
-	// streams themselves and reconciles acked epochs on reconnect.
-	// Chains built with NewChain carry a transport per secondary and
-	// ignore this field.
+	// ModeledLink such as *simnet.Link for deterministic in-process
+	// simulation, or a CheckpointSender such as *transport.Client
+	// streaming to a peer daemon over TCP. Any other Transport is
+	// refused. Chains built with NewChain carry a transport per
+	// secondary and ignore this field.
 	Transport Transport
 	// Threads is the number of transfer threads (EngineHERE only,
 	// DefaultThreads if 0). Remus always uses one.
@@ -375,7 +345,7 @@ type Config struct {
 	// Sink receives the buffered network output released after each
 	// acknowledged checkpoint (nil discards it silently).
 	Sink func([]devices.Packet)
-	// Seeding overrides the seeding migration parameters (Link and
+	// Seeding overrides the seeding migration parameters (Transport and
 	// Mode are filled in by the replicator).
 	Seeding migration.Config
 	// Retry governs transfer retries (zero fields take the package
@@ -580,7 +550,10 @@ func newReplicator(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Rep
 	}
 	legs := make([]*leg, 0, len(secondaries))
 	for _, sec := range secondaries {
-		l := newLeg(sec, vm.Memory().SizeBytes(), cfg.Compression)
+		l, err := newLeg(sec, vm.Memory().SizeBytes(), cfg.Compression)
+		if err != nil {
+			return nil, err
+		}
 		l.enc.Instrument(reg)
 		legs = append(legs, l)
 	}
@@ -651,17 +624,6 @@ func newReplicator(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Rep
 	return r, nil
 }
 
-// Handoff exports the replica-side state a successor replicator needs
-// to resume protection without a full re-seed: the replica memory, a
-// copy of the last acknowledged state image, and its sequence number.
-// The control plane parks it on the secondary host after each
-// acknowledged checkpoint (see hypervisor.ReplicaDeposit) and feeds it
-// back through Config.Resume after a restart. Handoff describes leg 0;
-// use HandoffAt for the other legs of a chain.
-func (r *Replicator) Handoff() (*ResumeState, error) {
-	return r.HandoffAt(0)
-}
-
 // State reports the current protection mode.
 func (r *Replicator) State() State {
 	r.mu.Lock()
@@ -691,9 +653,6 @@ func (r *Replicator) setState(s State) {
 // secondary; further checkpoints and activations are refused. Called
 // by failover.Activate.
 func (r *Replicator) MarkFailedOver() { r.setState(StateFailedOver) }
-
-// Retry reports the normalized retry policy in effect.
-func (r *Replicator) Retry() RetryPolicy { return r.retry }
 
 // Tracer returns the tracer the replicator records into (nil when
 // tracing is disabled). Failover activation records its phases here.
@@ -760,17 +719,6 @@ func (r *Replicator) Disk() *blockdev.ReplicatedDisk {
 // Primary returns the protected VM.
 func (r *Replicator) Primary() *hypervisor.VM { return r.primary }
 
-// Destination returns leg 0's secondary hypervisor — with a single
-// leg, the secondary.
-func (r *Replicator) Destination() hypervisor.Hypervisor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.legs[0].dst
-}
-
-// Engine reports the configured engine.
-func (r *Replicator) Engine() Engine { return r.cfg.Engine }
-
 // Period reports the interval the next cycle will run for.
 func (r *Replicator) Period() time.Duration {
 	if r.cfg.PeriodManager != nil {
@@ -793,7 +741,7 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	r.mu.Unlock()
 	first := legs[0]
 	mcfg := r.cfg.Seeding
-	mcfg.Transport = first.tp
+	mcfg.Transport = first.be
 	mcfg.Mode = mode
 	// Seed through the leg's own codec into its replica memory, the
 	// delta baseline the first checkpoint diffs against.
@@ -847,7 +795,7 @@ func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 	mem := r.primary.Memory()
 	pages := mem.PopulatedList()
 	bytes := int64(len(pages)) * memory.PageSize
-	if _, err := l.tp.Transfer(bytes, r.threads); err != nil {
+	if err := l.be.seedCopy(bytes, r.threads); err != nil {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
 	}
 	if err := mem.CopyPagesTo(pages, l.mem); err != nil {
@@ -905,7 +853,7 @@ func (r *Replicator) pathsDown() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, l := range r.legs {
-		if !l.dead && !l.tp.Down() {
+		if !l.dead && !l.be.Down() {
 			return false
 		}
 	}
@@ -1024,20 +972,25 @@ func (r *Replicator) RunFor(d time.Duration) ([]CheckpointStats, error) {
 	return out, nil
 }
 
-// shipVia sends bytes over one leg's replication link, retrying
-// transient failures with exponential backoff + jitter per the retry
-// policy. It returns the last transfer error once the budget is
-// exhausted. epoch scopes the retry events to the checkpoint being
-// shipped.
-func (r *Replicator) shipVia(tp Transport, epoch int64, bytes int64, streams int) error {
+// shipVia sends bytes over one leg's modeled link, retrying transient
+// failures with exponential backoff + jitter per the retry policy, and
+// records the attempt as a kind span under the leg's index. It returns
+// the last transfer error once the budget is exhausted. epoch scopes
+// the span and the retry events to the checkpoint being shipped.
+func (r *Replicator) shipVia(tp ModeledLink, kind trace.Kind, leg int, epoch int64, bytes int64, streams int) error {
 	clock := r.src.Clock()
+	start := clock.Now()
+	ev := trace.Event{Engine: r.cfg.Engine.String(), Shard: leg, Bytes: bytes}
 	backoff := r.retry.InitialBackoff
 	for attempt := 1; ; attempt++ {
 		_, err := tp.Transfer(bytes, streams)
 		if err == nil {
+			r.tr.Span(kind, epoch, start, ev)
 			return nil
 		}
 		if attempt >= r.retry.MaxAttempts || isPermanentErr(err) {
+			ev.Outcome = "failed"
+			r.tr.Span(kind, epoch, start, ev)
 			return err
 		}
 		r.retries.Inc()
@@ -1159,33 +1112,19 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 		r.setState(StateResyncing)
 	}
 
-	// With a real network transport, reconcile acked epochs before a
-	// resync: the re-handshake told us which epoch the peer replica
-	// actually holds, and that decides what may be shipped. A
-	// CheckpointSender implies a single-leg chain (NewChain enforces
-	// it), so leg 0 is the whole story here.
-	overwrite := false
-	if sender := legs[0].sender; resync && sender != nil {
-		switch acked, ok := sender.PeerAcked(); {
-		case ok && acked+1 == seq:
-			// In sync: the peer holds the same last-acked epoch the
-			// leg's replica memory describes — plain delta resync.
-		case ok && acked == seq:
-			// The peer applied the checkpoint whose acknowledgement was
-			// lost: it is one epoch ahead of the leg's replica memory, so
-			// XOR deltas would corrupt it. Ship overwrite frames instead;
-			// applying them brings both back in step.
-			overwrite = true
-		default:
-			// The peer restarted empty or regressed — nothing a delta can
-			// build on. Stay degraded; only a re-seed restores protection.
+	// Before a resync, each leg's backend reconciles acked epochs: a
+	// network peer's re-handshake told us which epoch its replica
+	// actually holds, and that decides what may be shipped to it.
+	overwrite := make([]bool, len(legs))
+	for i, l := range legs {
+		if !resync || l.dead || l.needsSeed {
+			continue
+		}
+		var err error
+		if overwrite[i], err = l.be.reconcile(seq); err != nil {
+			// Stay degraded; only a re-seed restores protection.
 			r.setState(StateDegraded)
-			if ok {
-				return CheckpointStats{}, fmt.Errorf("%w (next epoch %d, peer acked %d)",
-					ErrReplicaDiverged, seq, acked)
-			}
-			return CheckpointStats{}, fmt.Errorf("%w (next epoch %d, peer holds none)",
-				ErrReplicaDiverged, seq)
+			return CheckpointStats{}, err
 		}
 	}
 
@@ -1302,7 +1241,7 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 			legEncStart = clock.Now()
 		}
 		var cp *wire.Checkpoint
-		if overwrite {
+		if overwrite[i] {
 			cp, err = l.enc.EncodeOverwrite(r.primary.Memory(), legDirty, image, legDisk, seq)
 		} else {
 			cp, err = l.enc.Encode(r.primary.Memory(), l.mem, legDirty, image, legDisk, seq, r.threads)
@@ -1341,90 +1280,33 @@ func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (Checkpoin
 			}
 		}
 
-		// Ship the encoded stream, then wait for the ack. Transient
-		// failures are retried with backoff; a leg whose transfer outlives
-		// the retry budget misses this epoch — its replica memory is only
-		// decoded into after an ack, so its next deltas still diff against
-		// the last epoch it acknowledged — and the quorum check below
-		// decides whether the epoch commits anyway.
-		transferStart := clock.Now()
-		if l.sender != nil {
-			// The real transport carries the stream itself and its return is
-			// the remote replica's acknowledgement — no separate ack round.
-			// Stream sends are never retried here: after an ambiguous
-			// failure the peer may or may not have applied the epoch, and
-			// re-sending delta frames onto an already-advanced replica would
-			// corrupt it. The degraded→reconnect→resync ladder reconciles
-			// acked epochs instead.
-			//
-			// The transfer span is measured on the wall clock: real TCP
-			// waits do not advance the virtual clock, and the secondary's
-			// stage timings merged below are wall-clock too, so the whole
-			// cross-node breakdown lives in one time base.
-			wallStart := time.Now()
-			if err := l.sender.SendCheckpoint(seq, cp.Stream); err != nil {
-				r.tr.Record(trace.Event{
-					Kind: trace.SpanTransfer, Epoch: epochID, Start: transferStart,
-					Dur: time.Since(wallStart), Engine: engine, Bytes: bytes, Outcome: "failed",
-				})
-				if isPermanentErr(err) {
-					// Fenced or protocol-incompatible: reconnects cannot cure
-					// it and degraded mode would never resync. Re-arm the
-					// dirty set, resume the guest, surface the error.
-					bm := r.primary.Tracker().Bitmap()
-					for _, p := range dirty {
-						bm.Set(p)
-					}
-					r.primary.Resume()
-					return CheckpointStats{}, fmt.Errorf("replication: transport: %w", err)
-				}
-				return r.rollback(pauseStart, runPeriod, dirty, err)
-			}
-			r.tr.Record(trace.Event{
-				Kind: trace.SpanTransfer, Epoch: epochID, Start: transferStart,
-				Dur: time.Since(wallStart), Engine: engine, Bytes: bytes,
-			})
-			r.recordRemoteStages(l.sender, epochID, transferStart, engine)
-		} else {
-			streams := r.threads
-			if regions := dirtyRegions(legDirty); regions > 0 && regions < streams {
-				// Region sharding bounds the transfer parallelism: fewer
-				// dirtied 2 MiB regions than threads leaves threads idle.
-				streams = regions
-			}
-			if err := r.shipVia(l.tp, epochID, bytes, streams); err != nil {
-				r.tr.Span(trace.SpanTransfer, epochID, transferStart,
-					trace.Event{Engine: engine, Shard: i, Bytes: bytes, Outcome: "failed"})
-				if isPermanentErr(err) && len(legs) > 1 {
-					r.markLegDead(l, i, epochID, err)
-					continue
-				}
+		// Ship the encoded stream and wait for the ack. A transient
+		// failure makes the leg miss this epoch — its replica memory is
+		// only decoded into after an ack, so its next deltas still diff
+		// against the last epoch it acknowledged — and the quorum check
+		// below decides whether the epoch commits anyway.
+		if err := l.be.ship(r, i, cp, legDirty); err != nil {
+			switch {
+			case !isPermanentErr(err):
 				r.missedEpoch(l, dirty)
 				if shipErr == nil {
 					shipErr = err
 				}
-				continue
-			}
-			r.tr.Span(trace.SpanTransfer, epochID, transferStart,
-				trace.Event{Engine: engine, Shard: i, Bytes: bytes})
-			ackStart := clock.Now()
-			if err := r.shipVia(l.tp, epochID, ackBytes, 1); err != nil {
-				// The replica may hold the checkpoint data, but without the
-				// acknowledgement the primary must treat it as never applied.
-				r.tr.Span(trace.SpanAck, epochID, ackStart,
-					trace.Event{Engine: engine, Shard: i, Bytes: ackBytes, Outcome: "failed"})
-				if isPermanentErr(err) && len(legs) > 1 {
-					r.markLegDead(l, i, epochID, err)
-					continue
+			case len(legs) > 1:
+				r.markLegDead(l, i, epochID, err)
+			default:
+				// The only leg is fenced or protocol-incompatible:
+				// reconnects cannot cure it and degraded mode would never
+				// resync. Re-arm the dirty set, resume the guest, surface
+				// the error.
+				bm := r.primary.Tracker().Bitmap()
+				for _, p := range dirty {
+					bm.Set(p)
 				}
-				r.missedEpoch(l, dirty)
-				if shipErr == nil {
-					shipErr = err
-				}
-				continue
+				r.primary.Resume()
+				return CheckpointStats{}, fmt.Errorf("replication: transport: %w", err)
 			}
-			r.tr.Span(trace.SpanAck, epochID, ackStart,
-				trace.Event{Engine: engine, Shard: i, Bytes: ackBytes})
+			continue
 		}
 
 		// Decode atomically on this leg's replica only once acknowledged —

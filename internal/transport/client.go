@@ -124,10 +124,10 @@ func (s *session) kill(reason string) bool {
 // server's acknowledged epoch so the replicator can delta-resync from
 // it instead of re-seeding.
 //
-// Client implements the replication.Transport interface (Transfer,
-// Down, PropagationDelay), its CheckpointSender extension
-// (SendCheckpoint, SendSeed, PeerAcked) and the failover monitor's
-// Path, so it drops in wherever a simnet.Link did.
+// Client is a replication.CheckpointSender (SendCheckpoint, SendSeed,
+// PeerAcked and LastRemoteStages on top of the Down/PropagationDelay
+// path face, which is also the failover monitor's Path), so it drops
+// in wherever a simnet.Link did.
 type Client struct {
 	cfg ClientConfig
 
@@ -602,60 +602,6 @@ func (c *Client) PeerAcked() (seq uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.serverAcked, c.ackedOK
-}
-
-// Transfer probes the connection with a ping round trip and reports
-// its duration — the generic byte-mover face of replication.Transport.
-// The byte count is advisory (real streams ride SendCheckpoint); a
-// disconnected transport returns ErrDisconnected so retry/degraded
-// machinery engages exactly as it does for a downed simnet link.
-func (c *Client) Transfer(bytes int64, streams int) (time.Duration, error) {
-	c.mu.Lock()
-	sess := c.sess
-	perm := c.permErr
-	c.mu.Unlock()
-	if perm != nil {
-		return 0, perm
-	}
-	if sess == nil {
-		return 0, ErrDisconnected
-	}
-	sess.mu.Lock()
-	sess.pingSent++
-	seq := sess.pingSent
-	sess.mu.Unlock()
-	start := time.Now()
-	sess.writeMu.Lock()
-	err := writeMsg(sess.conn, msgPing, u64payload(seq))
-	sess.writeMu.Unlock()
-	if err != nil {
-		c.sessionDied(sess, "write: "+err.Error())
-		return 0, ErrDisconnected
-	}
-	deadline := time.NewTimer(c.cfg.AckTimeout)
-	defer deadline.Stop()
-	poll := time.NewTicker(time.Millisecond)
-	defer poll.Stop()
-	for {
-		select {
-		case <-sess.done:
-			return 0, ErrDisconnected
-		case <-deadline.C:
-			c.sessionDied(sess, "ping timeout")
-			return 0, ErrDisconnected
-		case <-poll.C:
-			sess.mu.Lock()
-			seen := sess.pongSeen >= seq
-			sess.mu.Unlock()
-			if seen {
-				rtt := time.Since(start)
-				c.mu.Lock()
-				c.rtt = rtt
-				c.mu.Unlock()
-				return rtt, nil
-			}
-		}
-	}
 }
 
 // Down reports whether the transport is currently unable to ship

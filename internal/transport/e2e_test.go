@@ -183,6 +183,11 @@ func TestE2EDisconnectDeltaResync(t *testing.T) {
 	if st.Mode != replication.StateDegraded {
 		t.Fatalf("outage cycle mode = %v, want degraded", st.Mode)
 	}
+	// The TCP leg rolls back through the same ack-quorum path as a
+	// modeled one.
+	if got := r.reg.Counter("here_chain_quorum_misses_total", "").Value(); got != 1 {
+		t.Fatalf("here_chain_quorum_misses_total = %d after the cut, want 1", got)
+	}
 	waitFor(t, "client to notice the dead path", r.cli.Down)
 
 	// Ride the outage: unprotected execution, dirty pages accumulating.

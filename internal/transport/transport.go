@@ -36,10 +36,10 @@
 //     resume with a delta resync from the last mutually-acknowledged
 //     epoch instead of a full re-seed.
 //
-// The Client implements replication.Transport, replication's
-// CheckpointSender/seed-streaming extensions and failover's monitored
-// Path, so the whole existing recovery ladder (retry → rollback →
-// degraded → delta resync) runs unchanged over real, failable TCP.
+// The Client implements replication.CheckpointSender, which also
+// carries the seeding rounds, and failover's monitored Path, so the
+// whole existing recovery ladder (rollback → degraded → delta resync)
+// runs unchanged over real, failable TCP.
 package transport
 
 import (
